@@ -23,12 +23,15 @@ race:
 bench:
 	$(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/
 
-# bench-json records the engine and codec benchmarks as a JSON snapshot
-# for the CI regression gate; benchdiff compares it to the committed
-# baseline.
+# bench-json records the engine, codec and preprocessing (chunk sort,
+# merge, convert) benchmarks as a JSON snapshot for the CI regression
+# gate; benchdiff compares it to the committed baseline. Entries without
+# a baseline are reported as informational.
 bench-json:
 	{ $(GO) test -bench BenchmarkEngine -benchmem -run '^$$' ./internal/core/ ; \
-	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; } \
+	  $(GO) test -bench BenchmarkCodec -benchmem -run '^$$' ./internal/storage/ ; \
+	  $(GO) test -bench 'BenchmarkSortChunk|BenchmarkMerge' -benchmem -run '^$$' ./internal/extsort/ ; \
+	  $(GO) test -bench BenchmarkConvert -benchmem -run '^$$' ./internal/dos/ ; } \
 		| $(GO) run ./cmd/graphz-benchdiff -record -out BENCH_core.json
 
 benchdiff: bench-json

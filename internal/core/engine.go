@@ -354,6 +354,10 @@ type Engine[V, M any] struct {
 	// speculating chunks carry their own.
 	batchBuf []graph.VertexID
 
+	// Sorted-spill sort scratch, reused by every spill and drain of the
+	// run (all on the engine goroutine).
+	sortScratch extsort.SortScratch
+
 	// selective scheduling state (Options.SelectiveScheduling)
 	sel           *activeSet // per-vertex schedulability bits; nil when off
 	selDegs       []uint32   // planner scratch: current partition's degrees
@@ -1191,7 +1195,7 @@ func (e *Engine[V, M]) spillBuffer(p int, buf []byte) {
 	logical := int64(len(buf) / rec)
 	out := buf
 	if e.opts.SortedSpill {
-		extsort.SortRecords(buf, rec, msgRecordKey)
+		extsort.SortRecords(buf, rec, msgRecordKey, &e.sortScratch)
 		e.charge(logical, sim.CostRecordSort)
 		if e.combineFn != nil {
 			var folded int64

@@ -156,7 +156,7 @@ func (e *Engine[V, M]) drainMessagesSorted(p int, lo graph.VertexID) error {
 	mem := e.msgBufs[p]
 	if len(mem) > 0 {
 		tail := append([]byte(nil), mem...)
-		extsort.SortRecords(tail, rec, msgRecordKey)
+		extsort.SortRecords(tail, rec, msgRecordKey, &e.sortScratch)
 		e.charge(int64(len(tail)/rec), sim.CostRecordSort)
 		srcs = append(srcs, extsort.NewSliceSource(tail))
 	}

@@ -573,8 +573,12 @@ func (c *converter) sort(recSz int, key func(rec []byte) uint64, in, out string)
 	return c.sortOpt(recSz, key, in, out, true)
 }
 
+// sortFile is the external sort every conversion pass uses. A variable
+// so tests can swap in a reference sort and diff the converted files.
+var sortFile = extsort.Sort
+
 func (c *converter) sortOpt(recSz int, key func(rec []byte) uint64, in, out string, removeInput bool) error {
-	return extsort.Sort(extsort.Config{
+	return sortFile(extsort.Config{
 		Dev:          c.cfg.Dev,
 		Clock:        c.cfg.Clock,
 		RecordSize:   recSz,
@@ -801,6 +805,7 @@ func (c *converter) buildTriadsCounted(in, out string, maxOld graph.VertexID, nu
 	if err != nil {
 		return err
 	}
+	outF.Reserve(numEdges * triadBytes)
 	w := storage.NewWriter(outF)
 	r = storage.NewReader(inF)
 	var buf [triadBytes]byte
@@ -841,6 +846,7 @@ func (c *converter) buildTriadsSorted(in, out string, numEdges int64) error {
 	if err != nil {
 		return err
 	}
+	outF.Reserve(numEdges * triadBytes)
 	w := storage.NewWriter(outF)
 	r := storage.NewReader(inF)
 
@@ -904,6 +910,7 @@ func (c *converter) relabelSources(in, edgesOut, pairsOut string, g *Graph) (int
 	if err != nil {
 		return 0, err
 	}
+	eF.Reserve(g.NumEdges * graph.EdgeBytes)
 	pF, err := c.cfg.Dev.Create(pairsOut)
 	if err != nil {
 		return 0, err
@@ -1029,6 +1036,7 @@ func (c *converter) relabelDestinations(byDst, pairsByOld, edgesOut, zeroPairs s
 	if err != nil {
 		return 0, err
 	}
+	eF.Reserve(inF.Size())
 	zF, err := dev.Create(zeroPairs)
 	if err != nil {
 		return 0, err

@@ -5,8 +5,11 @@
 //
 // The algorithm is the classic one: the input is read in memory-budget
 // sized chunks, each chunk is sorted in memory and spilled as a sorted
-// run, and runs are merged with a loser-tree style heap. When the number
-// of runs exceeds the merge fan-in, merging proceeds in multiple passes.
+// run, and runs are merged through a loser tree. When the number of runs
+// exceeds the merge fan-in, merging proceeds in multiple passes. Keyed
+// sorts (Config.Key, which every preprocessing pipeline uses) sort their
+// chunks with a stable LSD radix sort; the Less fallback uses a stable
+// comparison sort.
 package extsort
 
 import (
@@ -40,8 +43,9 @@ type Config struct {
 	// Less compares two records. Ignored when Key is set.
 	Less func(a, b []byte) bool
 	// Key, when non-nil, maps a record to a uint64 sort key (ascending
-	// order). The key path avoids per-comparison decoding and is
-	// several times faster; all the preprocessing pipelines use it.
+	// order). Chunks are then radix-sorted on the key, called once per
+	// record, and the merge compares cached keys; this is several times
+	// faster than Less, and all the preprocessing pipelines use it.
 	Key func(rec []byte) uint64
 	// MemoryBudget bounds the bytes of records held in memory at once
 	// (run formation buffer; merge buffers are carved from it too).
@@ -170,11 +174,11 @@ func Sort(cfg Config, input, output string) error {
 // formRuns splits the input into sorted runs and returns their file names.
 func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
 	recSz := cfg.RecordSize
-	perRun := int(cfg.MemoryBudget) / recSz
-	if perRun < 1 {
-		perRun = 1
-	}
+	perRun := chunkRecords(min(cfg.MemoryBudget, in.Size()), recSz)
+	// The chunk buffer and the sort scratch are allocated once and
+	// reused for every run.
 	buf := make([]byte, perRun*recSz)
+	var scratch SortScratch
 	r := storage.NewReader(in)
 	var runs []string
 	for {
@@ -191,7 +195,7 @@ func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
 		}
 		chunk := buf[:n]
 		if cfg.Key != nil {
-			sortChunkByKey(chunk, recSz, cfg.Key)
+			SortRecords(chunk, recSz, cfg.Key, &scratch)
 		} else {
 			sortChunk(chunk, recSz, cfg.Less)
 		}
@@ -328,89 +332,18 @@ func combineChunk(cfg Config, chunk []byte) ([]byte, int64) {
 	return chunk[:(w+1)*recSz], folded
 }
 
-// sortChunkByKey sorts records by their uint64 keys, stably.
-func sortChunkByKey(chunk []byte, recSz int, key func([]byte) uint64) {
-	n := len(chunk) / recSz
-	if n < 2 {
-		return
-	}
-	type keyed struct {
-		k   uint64
-		idx int32
-	}
-	ks := make([]keyed, n)
-	for i := range ks {
-		ks[i] = keyed{k: key(chunk[i*recSz : (i+1)*recSz]), idx: int32(i)}
-	}
-	sort.Slice(ks, func(a, b int) bool {
-		if ks[a].k != ks[b].k {
-			return ks[a].k < ks[b].k
-		}
-		return ks[a].idx < ks[b].idx
-	})
-	out := make([]byte, len(chunk))
-	for i, kv := range ks {
-		copy(out[i*recSz:(i+1)*recSz], chunk[int(kv.idx)*recSz:int(kv.idx+1)*recSz])
-	}
-	copy(chunk, out)
-}
-
-// mergeSource is one run feeding the merge heap.
-type mergeSource struct {
-	src Source
-	cur []byte
-	key uint64 // cached sort key when key-based sorting is active
-	ord int    // tie-break by run order for stability
-}
-
-// mergeHeap orders sources by their current record.
-type mergeHeap struct {
-	src   []*mergeSource
-	less  func(a, b []byte) bool
-	keyFn func([]byte) uint64
-}
-
-func (h *mergeHeap) Len() int { return len(h.src) }
-
-func (h *mergeHeap) Less(i, j int) bool {
-	a, b := h.src[i], h.src[j]
-	if h.keyFn != nil {
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.ord < b.ord
-	}
-	if h.less(a.cur, b.cur) {
-		return true
-	}
-	if h.less(b.cur, a.cur) {
-		return false
-	}
-	return a.ord < b.ord
-}
-
-func (h *mergeHeap) Swap(i, j int) { h.src[i], h.src[j] = h.src[j], h.src[i] }
-
-func (h *mergeHeap) Push(x any) { h.src = append(h.src, x.(*mergeSource)) }
-
-func (h *mergeHeap) Pop() any {
-	old := h.src
-	n := len(old)
-	x := old[n-1]
-	h.src = old[:n-1]
-	return x
-}
-
 // mergeGroup merges a group of sorted runs into dst through a streaming
 // Merger, folding equal keys when a Combine hook is configured. It
 // returns the number of records written.
 func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error) {
 	srcs := make([]Source, 0, len(group))
+	var total int64 // the output's size before any Combine fold
 	for _, name := range group {
 		f, err := cfg.Dev.Open(name)
 		if err != nil {
 			return 0, fmt.Errorf("extsort: opening run %q: %w", name, err)
 		}
+		total += f.Size()
 		srcs = append(srcs, NewReaderSource(storage.NewReader(f)))
 	}
 	m, err := NewMerger(MergeConfig{
@@ -427,6 +360,7 @@ func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error
 	if err != nil {
 		return 0, err
 	}
+	out.Reserve(total)
 	w := storage.NewWriter(out)
 	var written int64
 	for {

@@ -1,17 +1,17 @@
 package extsort
 
 // Streaming k-way merge over already-sorted record sources, exported so
-// other subsystems can reuse the merge heap without routing their data
+// other subsystems can reuse the loser tree without routing their data
 // through Sort's file protocol. The engine's sorted spill drain merges
 // its on-device runs and in-memory buffer tail through a Merger, and the
 // optional Combine hook is the sort-reduce primitive: equal-key records
-// are folded together while they stream through the heap, so k messages
+// are folded together while they stream through the tree, so k messages
 // to one destination leave the merge as one.
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
+	"math"
 
 	"graphz/internal/storage"
 )
@@ -69,16 +69,31 @@ type MergeConfig struct {
 
 // Merger streams the k-way merge of its sources, one record per Next
 // call, folding equal-key neighbors when a Combine hook is configured.
+//
+// The merge is a loser tree over the non-empty sources: tree[0] holds
+// the index of the current winner and tree[1:] the loser of each
+// internal match, with source i's leaf at node k+i. Replacing the
+// winner's record replays only its leaf-to-root path, one comparison per
+// level. Records are ordered by (key, source index), so on equal keys
+// the earlier source wins; a finished source sorts after every live one.
 type Merger struct {
-	h        *mergeHeap
-	recSz    int
+	srcs  []Source
+	ords  []int    // caller-side index of each source, for error messages
+	cur   []byte   // current record of source i at cur[i*recSz:]
+	keys  []uint64 // cached Key(cur) per source; math.MaxUint64 once done
+	done  []bool
+	tree  []int
+	recSz int
+	less  func(a, b []byte) bool
+	key   func([]byte) uint64
+
 	combine  func(dst, src []byte)
 	out      []byte
 	outKey   uint64
 	combined int64
 }
 
-// NewMerger primes the sources and builds the merge heap. Empty sources
+// NewMerger primes the sources and builds the loser tree. Empty sources
 // are allowed (they contribute nothing). Source order is the stability
 // tie-break: on equal keys, records from earlier sources win.
 func NewMerger(cfg MergeConfig, srcs []Source) (*Merger, error) {
@@ -88,46 +103,109 @@ func NewMerger(cfg MergeConfig, srcs []Source) (*Merger, error) {
 	if cfg.Less == nil && cfg.Key == nil {
 		return nil, fmt.Errorf("extsort: a Less or Key function is required")
 	}
-	h := &mergeHeap{less: cfg.Less, keyFn: cfg.Key}
+	recSz := cfg.RecordSize
+	m := &Merger{
+		recSz:   recSz,
+		less:    cfg.Less,
+		key:     cfg.Key,
+		combine: cfg.Combine,
+		cur:     make([]byte, len(srcs)*recSz),
+		out:     make([]byte, recSz),
+	}
 	for ord, s := range srcs {
-		ms := &mergeSource{src: s, cur: make([]byte, cfg.RecordSize), ord: ord}
-		if err := s.ReadRecord(ms.cur); err != nil {
+		rec := m.cur[len(m.srcs)*recSz : (len(m.srcs)+1)*recSz]
+		if err := s.ReadRecord(rec); err != nil {
 			if err == io.EOF {
 				continue // empty source
 			}
 			return nil, fmt.Errorf("extsort: priming merge source %d: %w", ord, err)
 		}
-		if h.keyFn != nil {
-			ms.key = h.keyFn(ms.cur)
+		var k uint64
+		if m.key != nil {
+			k = m.key(rec)
 		}
-		h.src = append(h.src, ms)
+		m.srcs = append(m.srcs, s)
+		m.ords = append(m.ords, ord)
+		m.keys = append(m.keys, k)
 	}
-	heap.Init(h)
-	return &Merger{
-		h:       h,
-		recSz:   cfg.RecordSize,
-		combine: cfg.Combine,
-		out:     make([]byte, cfg.RecordSize),
-	}, nil
+	n := len(m.srcs)
+	m.done = make([]bool, n)
+	m.tree = make([]int, max(n, 1))
+	if n > 1 {
+		// Play the initial tournament bottom-up: winners[j] is the
+		// winner below node j, leaves at n..2n-1.
+		winners := make([]int, 2*n)
+		for i := 0; i < n; i++ {
+			winners[n+i] = i
+		}
+		for j := n - 1; j >= 1; j-- {
+			l, r := winners[2*j], winners[2*j+1]
+			if m.beats(r, l) {
+				l, r = r, l
+			}
+			winners[j], m.tree[j] = l, r
+		}
+		m.tree[0] = winners[1]
+	}
+	return m, nil
+}
+
+// rec returns source i's current record.
+func (m *Merger) rec(i int) []byte { return m.cur[i*m.recSz : (i+1)*m.recSz] }
+
+// beats reports whether source a's current record is merged before
+// source b's.
+func (m *Merger) beats(a, b int) bool {
+	if m.key != nil {
+		if ka, kb := m.keys[a], m.keys[b]; ka != kb {
+			return ka < kb
+		}
+	} else if !m.done[a] && !m.done[b] {
+		ra, rb := m.rec(a), m.rec(b)
+		if m.less(ra, rb) {
+			return true
+		}
+		if m.less(rb, ra) {
+			return false
+		}
+	}
+	if da, db := m.done[a], m.done[b]; da != db {
+		return db
+	}
+	return a < b
+}
+
+// replay re-runs the matches on source w's leaf-to-root path after its
+// record changed, leaving the overall winner in tree[0].
+func (m *Merger) replay(w int) {
+	for j := (w + len(m.srcs)) >> 1; j > 0; j >>= 1 {
+		if l := m.tree[j]; m.beats(l, w) {
+			m.tree[j], w = w, l
+		}
+	}
+	m.tree[0] = w
 }
 
 // Next returns the next merged record, valid until the following call.
 // io.EOF signals a completed merge.
 func (m *Merger) Next() ([]byte, error) {
-	if m.h.Len() == 0 {
+	if len(m.srcs) == 0 {
 		return nil, io.EOF
 	}
-	top := m.h.src[0]
-	copy(m.out, top.cur)
-	m.outKey = top.key
-	if err := m.advanceHead(); err != nil {
+	w := m.tree[0]
+	if m.done[w] {
+		return nil, io.EOF
+	}
+	copy(m.out, m.rec(w))
+	m.outKey = m.keys[w]
+	if err := m.advance(w); err != nil {
 		return nil, err
 	}
 	if m.combine != nil {
-		for m.h.Len() > 0 && m.headEqualsOut() {
-			m.combine(m.out, m.h.src[0].cur)
+		for w = m.tree[0]; !m.done[w] && m.equalsOut(w); w = m.tree[0] {
+			m.combine(m.out, m.rec(w))
 			m.combined++
-			if err := m.advanceHead(); err != nil {
+			if err := m.advance(w); err != nil {
 				return nil, err
 			}
 		}
@@ -138,41 +216,33 @@ func (m *Merger) Next() ([]byte, error) {
 // Combined returns how many records Next has folded away so far.
 func (m *Merger) Combined() int64 { return m.combined }
 
-// headEqualsOut reports whether the heap's current head sorts equal to
-// the record pending in m.out.
-func (m *Merger) headEqualsOut() bool {
-	if m.h.keyFn != nil {
-		return m.h.src[0].key == m.outKey
+// equalsOut reports whether source i's current record sorts equal to the
+// record pending in m.out.
+func (m *Merger) equalsOut(i int) bool {
+	if m.key != nil {
+		return m.keys[i] == m.outKey
 	}
-	cur := m.h.src[0].cur
-	return !m.h.less(m.out, cur) && !m.h.less(cur, m.out)
+	cur := m.rec(i)
+	return !m.less(m.out, cur) && !m.less(cur, m.out)
 }
 
-// advanceHead replaces the heap head's record with its source's next one,
-// dropping the source at EOF.
-func (m *Merger) advanceHead() error {
-	top := m.h.src[0]
-	err := top.src.ReadRecord(top.cur)
-	switch err {
+// advance replaces source i's record with its next one, marking the
+// source done at EOF, and replays its path.
+func (m *Merger) advance(i int) error {
+	rec := m.rec(i)
+	switch err := m.srcs[i].ReadRecord(rec); err {
 	case nil:
-		if m.h.keyFn != nil {
-			top.key = m.h.keyFn(top.cur)
+		if m.key != nil {
+			m.keys[i] = m.key(rec)
 		}
-		heap.Fix(m.h, 0)
-		return nil
 	case io.EOF:
-		heap.Pop(m.h)
-		return nil
+		m.done[i] = true
+		m.keys[i] = math.MaxUint64
 	default:
-		return fmt.Errorf("extsort: advancing merge source %d: %w", top.ord, err)
+		return fmt.Errorf("extsort: advancing merge source %d: %w", m.ords[i], err)
 	}
-}
-
-// SortRecords stably sorts chunk's fixed-size records in place by their
-// uint64 keys (ascending). Exported for callers that form sorted runs
-// outside Sort's file protocol, like the engine's spill buffers.
-func SortRecords(chunk []byte, recSz int, key func([]byte) uint64) {
-	sortChunkByKey(chunk, recSz, key)
+	m.replay(i)
+	return nil
 }
 
 // CombineSorted collapses adjacent equal-key records of a sorted chunk in

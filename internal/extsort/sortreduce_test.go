@@ -440,7 +440,7 @@ func TestSortRecordsAndCombineSorted(t *testing.T) {
 		binary.LittleEndian.PutUint32(buf[8*i:], p[0])
 		binary.LittleEndian.PutUint32(buf[8*i+4:], p[1])
 	}
-	SortRecords(buf, 8, u32KeyFn)
+	SortRecords(buf, 8, u32KeyFn, nil)
 	want := [][2]uint32{{1, 1}, {1, 3}, {2, 4}, {3, 0}, {3, 2}}
 	for i, w := range want {
 		k := binary.LittleEndian.Uint32(buf[8*i:])

@@ -439,6 +439,28 @@ func (h *File) Size() int64 {
 	return int64(len(h.f.data))
 }
 
+// Reserve grows the capacity of the file's in-memory backing slice to at
+// least n bytes, so writes that extend the file up to n bytes do not
+// re-copy it as it grows. It is a host-memory hint only: the file's size,
+// the device's Stats, FileStats and Used, the page cache and the fault
+// injector's op schedule are all unchanged. Call it when a file's final
+// size is known before it is written. On a device with a capacity, n is
+// clamped to what the file could grow to, so a write bound to fail with
+// ErrNoSpace does not first reserve host memory it can never use.
+func (h *File) Reserve(n int64) {
+	h.dev.mu.Lock()
+	defer h.dev.mu.Unlock()
+	if d := h.dev; d.capacity > 0 {
+		n = min(n, int64(len(h.f.data))+d.capacity-d.used)
+	}
+	if n <= int64(cap(h.f.data)) {
+		return
+	}
+	data := make([]byte, len(h.f.data), n)
+	copy(data, h.f.data)
+	h.f.data = data
+}
+
 // ReadAt reads len(p) bytes at offset off. Short reads at EOF return the
 // number of bytes read and io.EOF semantics are replaced by an explicit
 // count: n < len(p) means EOF was reached.

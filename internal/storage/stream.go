@@ -85,6 +85,11 @@ func (r *Reader) Read(p []byte) (int, error) {
 // returned only at a record boundary (nothing read), io.ErrUnexpectedEOF
 // otherwise.
 func (r *Reader) ReadFull(p []byte) error {
+	if r.filled-r.pos >= len(p) {
+		// Fast path: the record is inside the buffered block.
+		r.pos += copy(p, r.buf[r.pos:r.filled])
+		return nil
+	}
 	total := 0
 	for total < len(p) {
 		n, err := r.Read(p[total:])
@@ -127,6 +132,11 @@ func (w *Writer) Offset() int64 { return w.off + int64(len(w.buf)) }
 
 // Write implements io.Writer.
 func (w *Writer) Write(p []byte) (int, error) {
+	if len(p) < cap(w.buf)-len(w.buf) {
+		// Fast path: p fits the block buffer without filling it.
+		w.buf = append(w.buf, p...)
+		return len(p), nil
+	}
 	total := 0
 	for len(p) > 0 {
 		space := cap(w.buf) - len(w.buf)
@@ -170,6 +180,7 @@ func WriteAll(dev *Device, name string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	f.Reserve(int64(len(data)))
 	w := NewWriter(f)
 	if _, err := w.Write(data); err != nil {
 		return fmt.Errorf("storage: writing %q: %w", name, err)
