@@ -115,7 +115,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	go srv.Serve(l) //nolint:errcheck // Serve always returns on Shutdown/Close
 
 	for _, gi := range s.Graphs() {

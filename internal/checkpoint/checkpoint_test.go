@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -351,5 +353,44 @@ func TestSemFlagRoundTripAndCompat(t *testing.T) {
 	}
 	if ck2.Manifest.Sem {
 		t.Error("partitioned manifest decoded with Sem=true")
+	}
+}
+
+// TestManifestWithRemovedCountersParses: manifests written before
+// sort-reduce was removed carry combined, merge_passes and spill_saved
+// counters; they must still load, with every kept counter intact.
+func TestManifestWithRemovedCountersParses(t *testing.T) {
+	s, path := writeOne(t)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := len(manifestMagic) + 6
+	var doc map[string]any
+	if err := json.Unmarshal(raw[header:], &doc); err != nil {
+		t.Fatal(err)
+	}
+	counters := doc["counters"].(map[string]any)
+	counters["combined"] = 7
+	counters["merge_passes"] = 2
+	counters["spill_saved"] = 56
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(raw[:header], payload...)
+	binary.LittleEndian.PutUint32(raw[len(manifestMagic)+2:], crc32.ChecksumIEEE(payload))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := s.Latest()
+	if err != nil {
+		t.Fatalf("manifest with removed counters: %v", err)
+	}
+	if want := testManifest(4).Counters; ck.Manifest.Counters != want {
+		t.Errorf("counters = %+v, want %+v", ck.Manifest.Counters, want)
+	}
+	if _, err := ck.Section("vstate"); err != nil {
+		t.Errorf("vstate section: %v", err)
 	}
 }

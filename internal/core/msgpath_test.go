@@ -10,7 +10,7 @@ import (
 )
 
 // Regression tests for the message-path fixes: the spill-buffer capacity
-// clamp in bufferMessage and the bounded streaming parallel drain.
+// clamp in bufferMessage and the bounded streaming drain.
 
 // TestBufferMessageRecordLargerThanBuffer: bufferMessage used to
 // allocate the destination buffer with exactly MsgBufferBytes capacity
@@ -75,16 +75,16 @@ func TestBufferMessageRecordLargerThanBuffer(t *testing.T) {
 	}
 }
 
-// TestParallelDrainBoundedMemory: drainMessagesParallel used to read the
-// entire spill file into one allocation. The spill file holds a full
-// iteration's cross-partition traffic and is not covered by the memory
-// budget, so a file several times the budget blew straight past it. The
-// drain must now stream: draining a spill file much larger than the
-// chunk ceiling may not allocate anywhere near the file size.
-func TestParallelDrainBoundedMemory(t *testing.T) {
+// TestDrainBoundedMemory: the spill file holds a full iteration's
+// cross-partition traffic and is not covered by the memory budget, so a
+// drain that read it into one allocation would blow straight past the
+// budget (an earlier parallel drain did). The drain must stream:
+// draining a spill file much larger than the budget's share may not
+// allocate anywhere near the file size.
+func TestDrainBoundedMemory(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(7, 400, gen.NaturalRMAT, 51))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, ParallelDrain: true})
+		Options{MemoryBudget: 64 << 20, DynamicMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestParallelDrainBoundedMemory(t *testing.T) {
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := eng.drainMessagesParallel(0, 0); err != nil {
+	if err := eng.drainMessages(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -158,12 +158,12 @@ func TestParallelDrainBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestParallelDrainMemoryTail: the in-memory buffer tail (records that
-// never spilled) must still be applied after the streamed file.
-func TestParallelDrainMemoryTail(t *testing.T) {
+// TestDrainMemoryTail: the in-memory buffer tail (records that never
+// spilled) must still be applied after the streamed file.
+func TestDrainMemoryTail(t *testing.T) {
 	g := buildDOS(t, gen.RMAT(6, 200, gen.NaturalRMAT, 52))
 	eng, err := New[minVal, uint32](DOSLayout(g), minLabel{}, minValCodec{}, graph.Uint32Codec{},
-		Options{MemoryBudget: 64 << 20, DynamicMessages: true, ParallelDrain: true})
+		Options{MemoryBudget: 64 << 20, DynamicMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestParallelDrainMemoryTail(t *testing.T) {
 	}
 	eng.bufferMessage(3, 0)
 	eng.bufferMessage(5, 1)
-	if err := eng.drainMessagesParallel(0, 0); err != nil {
+	if err := eng.drainMessages(0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if eng.verts[3].pending != 0 || eng.verts[5].pending != 1 {

@@ -58,13 +58,7 @@ type Config struct {
 	// formed, halving the peak device footprint. Use only when the
 	// caller owns the input.
 	RemoveInput bool
-	// Combine, when non-nil, folds the later of two equal-comparing
-	// records into the earlier one in place, during run formation and at
-	// every merge pass. The fold must be commutative and associative:
-	// records may be grouped arbitrarily across passes. The output then
-	// holds one record per distinct key.
-	Combine func(dst, src []byte)
-	// Stats, when non-nil, receives the sort's run/merge/combine totals
+	// Stats, when non-nil, receives the sort's run/merge totals
 	// and any temp-file removal failures.
 	Stats *Stats
 	// Obs, when non-nil, counts removal failures on
@@ -86,11 +80,9 @@ type Stats struct {
 	// input formed at most one run).
 	MergePasses int
 	// RecordsIn/RecordsOut are the record counts read from the input and
-	// written to the output; they differ only when Combine folded some.
+	// written to the output.
 	RecordsIn  int64
 	RecordsOut int64
-	// Combined is the number of records Combine folded away.
-	Combined int64
 	// RemoveErrors counts input/temp removals that failed. The files
 	// leak on the device (its Stats.RemoveErrors counts them too), but
 	// the sorted output is unaffected, so Sort does not fail.
@@ -155,7 +147,7 @@ func Sort(cfg Config, input, output string) error {
 		cfg.Clock.ComputeUnits(nRecords*levels, sim.CostRecordSort)
 	}
 
-	runs, err := formRuns(cfg, st, in)
+	runs, err := formRuns(cfg, in)
 	if err != nil {
 		return err
 	}
@@ -172,7 +164,7 @@ func Sort(cfg Config, input, output string) error {
 }
 
 // formRuns splits the input into sorted runs and returns their file names.
-func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
+func formRuns(cfg Config, in *storage.File) ([]string, error) {
 	recSz := cfg.RecordSize
 	perRun := chunkRecords(min(cfg.MemoryBudget, in.Size()), recSz)
 	// The chunk buffer and the sort scratch are allocated once and
@@ -198,11 +190,6 @@ func formRuns(cfg Config, st *Stats, in *storage.File) ([]string, error) {
 			SortRecords(chunk, recSz, cfg.Key, &scratch)
 		} else {
 			sortChunk(chunk, recSz, cfg.Less)
-		}
-		if cfg.Combine != nil {
-			var folded int64
-			chunk, folded = combineChunk(cfg, chunk)
-			st.Combined += folded
 		}
 		name := fmt.Sprintf("%s%d", cfg.TempPrefix, len(runs))
 		if err := storage.WriteAll(cfg.Dev, name, chunk); err != nil {
@@ -273,7 +260,7 @@ func mergeRuns(cfg Config, st *Stats, runs []string, output string) error {
 			} else {
 				dst = fmt.Sprintf("%s.m%d_%d", cfg.TempPrefix, pass, len(next))
 			}
-			written, err := mergeGroup(cfg, st, group, dst)
+			written, err := mergeGroup(cfg, group, dst)
 			if err != nil {
 				return err
 			}
@@ -303,41 +290,11 @@ func mergeRuns(cfg Config, st *Stats, runs []string, output string) error {
 	return nil
 }
 
-// combineChunk collapses a sorted chunk's equal-comparing neighbors with
-// cfg.Combine, dispatching on the comparison mode.
-func combineChunk(cfg Config, chunk []byte) ([]byte, int64) {
-	if cfg.Key != nil {
-		return CombineSorted(chunk, cfg.RecordSize, cfg.Key, cfg.Combine)
-	}
-	recSz := cfg.RecordSize
-	n := len(chunk) / recSz
-	if n < 2 {
-		return chunk, 0
-	}
-	w := 0
-	var folded int64
-	for i := 1; i < n; i++ {
-		cur := chunk[i*recSz : (i+1)*recSz]
-		kept := chunk[w*recSz : (w+1)*recSz]
-		if !cfg.Less(kept, cur) && !cfg.Less(cur, kept) {
-			cfg.Combine(kept, cur)
-			folded++
-			continue
-		}
-		w++
-		if w != i {
-			copy(chunk[w*recSz:(w+1)*recSz], cur)
-		}
-	}
-	return chunk[:(w+1)*recSz], folded
-}
-
 // mergeGroup merges a group of sorted runs into dst through a streaming
-// Merger, folding equal keys when a Combine hook is configured. It
-// returns the number of records written.
-func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error) {
+// Merger. It returns the number of records written.
+func mergeGroup(cfg Config, group []string, dst string) (int64, error) {
 	srcs := make([]Source, 0, len(group))
-	var total int64 // the output's size before any Combine fold
+	var total int64
 	for _, name := range group {
 		f, err := cfg.Dev.Open(name)
 		if err != nil {
@@ -350,7 +307,6 @@ func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error
 		RecordSize: cfg.RecordSize,
 		Less:       cfg.Less,
 		Key:        cfg.Key,
-		Combine:    cfg.Combine,
 	}, srcs)
 	if err != nil {
 		return 0, err
@@ -376,6 +332,5 @@ func mergeGroup(cfg Config, st *Stats, group []string, dst string) (int64, error
 		}
 		written++
 	}
-	st.Combined += m.Combined()
 	return written, w.Flush()
 }

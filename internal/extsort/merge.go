@@ -1,12 +1,7 @@
 package extsort
 
-// Streaming k-way merge over already-sorted record sources, exported so
-// other subsystems can reuse the loser tree without routing their data
-// through Sort's file protocol. The engine's sorted spill drain merges
-// its on-device runs and in-memory buffer tail through a Merger, and the
-// optional Combine hook is the sort-reduce primitive: equal-key records
-// are folded together while they stream through the tree, so k messages
-// to one destination leave the merge as one.
+// Streaming k-way merge over already-sorted record sources: the loser
+// tree behind Sort's merge passes.
 
 import (
 	"fmt"
@@ -32,25 +27,6 @@ func (s readerSource) ReadRecord(rec []byte) error { return s.r.ReadFull(rec) }
 // range must hold a whole number of records.
 func NewReaderSource(r *storage.Reader) Source { return readerSource{r} }
 
-// sliceSource serves records from an in-memory sorted chunk.
-type sliceSource struct{ data []byte }
-
-// NewSliceSource wraps an in-memory sorted chunk as a merge Source. The
-// slice is consumed in place; it must hold a whole number of records.
-func NewSliceSource(data []byte) Source { return &sliceSource{data: data} }
-
-func (s *sliceSource) ReadRecord(rec []byte) error {
-	if len(s.data) == 0 {
-		return io.EOF
-	}
-	if len(s.data) < len(rec) {
-		return fmt.Errorf("extsort: torn record: %d bytes left, record is %d", len(s.data), len(rec))
-	}
-	copy(rec, s.data[:len(rec)])
-	s.data = s.data[len(rec):]
-	return nil
-}
-
 // MergeConfig configures a streaming Merger.
 type MergeConfig struct {
 	// RecordSize is the fixed record length in bytes.
@@ -59,16 +35,9 @@ type MergeConfig struct {
 	Less func(a, b []byte) bool
 	// Key, when non-nil, maps a record to its uint64 sort key.
 	Key func(rec []byte) uint64
-	// Combine, when non-nil, folds src (the later record in merge order)
-	// into dst in place whenever the two compare equal. The fold must be
-	// commutative and associative in its effect on the eventual consumer:
-	// records may be combined in any grouping across run formation and
-	// merge passes.
-	Combine func(dst, src []byte)
 }
 
-// Merger streams the k-way merge of its sources, one record per Next
-// call, folding equal-key neighbors when a Combine hook is configured.
+// Merger streams the k-way merge of its sources, one record per Next call.
 //
 // The merge is a loser tree over the non-empty sources: tree[0] holds
 // the index of the current winner and tree[1:] the loser of each
@@ -86,11 +55,7 @@ type Merger struct {
 	recSz int
 	less  func(a, b []byte) bool
 	key   func([]byte) uint64
-
-	combine  func(dst, src []byte)
-	out      []byte
-	outKey   uint64
-	combined int64
+	out   []byte
 }
 
 // NewMerger primes the sources and builds the loser tree. Empty sources
@@ -105,12 +70,11 @@ func NewMerger(cfg MergeConfig, srcs []Source) (*Merger, error) {
 	}
 	recSz := cfg.RecordSize
 	m := &Merger{
-		recSz:   recSz,
-		less:    cfg.Less,
-		key:     cfg.Key,
-		combine: cfg.Combine,
-		cur:     make([]byte, len(srcs)*recSz),
-		out:     make([]byte, recSz),
+		recSz: recSz,
+		less:  cfg.Less,
+		key:   cfg.Key,
+		cur:   make([]byte, len(srcs)*recSz),
+		out:   make([]byte, recSz),
 	}
 	for ord, s := range srcs {
 		rec := m.cur[len(m.srcs)*recSz : (len(m.srcs)+1)*recSz]
@@ -197,33 +161,10 @@ func (m *Merger) Next() ([]byte, error) {
 		return nil, io.EOF
 	}
 	copy(m.out, m.rec(w))
-	m.outKey = m.keys[w]
 	if err := m.advance(w); err != nil {
 		return nil, err
 	}
-	if m.combine != nil {
-		for w = m.tree[0]; !m.done[w] && m.equalsOut(w); w = m.tree[0] {
-			m.combine(m.out, m.rec(w))
-			m.combined++
-			if err := m.advance(w); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return m.out, nil
-}
-
-// Combined returns how many records Next has folded away so far.
-func (m *Merger) Combined() int64 { return m.combined }
-
-// equalsOut reports whether source i's current record sorts equal to the
-// record pending in m.out.
-func (m *Merger) equalsOut(i int) bool {
-	if m.key != nil {
-		return m.keys[i] == m.outKey
-	}
-	cur := m.rec(i)
-	return !m.less(m.out, cur) && !m.less(cur, m.out)
 }
 
 // advance replaces source i's record with its next one, marking the
@@ -243,32 +184,4 @@ func (m *Merger) advance(i int) error {
 	}
 	m.replay(i)
 	return nil
-}
-
-// CombineSorted collapses adjacent equal-key records of a sorted chunk in
-// place, folding each later record into its predecessor with combine. It
-// returns the shortened chunk and the number of records folded away.
-func CombineSorted(chunk []byte, recSz int, key func([]byte) uint64, combine func(dst, src []byte)) ([]byte, int64) {
-	n := len(chunk) / recSz
-	if n < 2 {
-		return chunk, 0
-	}
-	w := 0 // index of the last kept record
-	wk := key(chunk[:recSz])
-	var folded int64
-	for i := 1; i < n; i++ {
-		cur := chunk[i*recSz : (i+1)*recSz]
-		k := key(cur)
-		if k == wk {
-			combine(chunk[w*recSz:(w+1)*recSz], cur)
-			folded++
-			continue
-		}
-		w++
-		if w != i {
-			copy(chunk[w*recSz:(w+1)*recSz], cur)
-		}
-		wk = k
-	}
-	return chunk[:(w+1)*recSz], folded
 }

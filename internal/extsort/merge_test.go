@@ -14,13 +14,10 @@ import (
 
 // refMerger is the container/heap merge the loser tree replaced, kept as
 // the differential reference. It orders sources by (record, source
-// order) and folds equal neighbors exactly as Merger documents.
+// order), as Merger documents.
 type refMerger struct {
-	h        *refHeap
-	combine  func(dst, src []byte)
-	out      []byte
-	outKey   uint64
-	combined int64
+	h   *refHeap
+	out []byte
 }
 
 type refSource struct {
@@ -79,7 +76,7 @@ func newRefMerger(cfg MergeConfig, srcs []Source) (*refMerger, error) {
 		h.src = append(h.src, rs)
 	}
 	heap.Init(h)
-	return &refMerger{h: h, combine: cfg.Combine, out: make([]byte, cfg.RecordSize)}, nil
+	return &refMerger{h: h, out: make([]byte, cfg.RecordSize)}, nil
 }
 
 func (m *refMerger) Next() ([]byte, error) {
@@ -88,28 +85,10 @@ func (m *refMerger) Next() ([]byte, error) {
 	}
 	top := m.h.src[0]
 	copy(m.out, top.cur)
-	m.outKey = top.key
 	if err := m.advanceHead(); err != nil {
 		return nil, err
 	}
-	if m.combine != nil {
-		for m.h.Len() > 0 && m.headEqualsOut() {
-			m.combine(m.out, m.h.src[0].cur)
-			m.combined++
-			if err := m.advanceHead(); err != nil {
-				return nil, err
-			}
-		}
-	}
 	return m.out, nil
-}
-
-func (m *refMerger) headEqualsOut() bool {
-	if m.h.keyFn != nil {
-		return m.h.src[0].key == m.outKey
-	}
-	cur := m.h.src[0].cur
-	return !m.h.less(m.out, cur) && !m.h.less(cur, m.out)
 }
 
 func (m *refMerger) advanceHead() error {
@@ -138,13 +117,6 @@ func mrecLess(a, b []byte) bool {
 	return binary.LittleEndian.Uint32(a) < binary.LittleEndian.Uint32(b)
 }
 
-// mrecCombine is an order-sensitive fold (a polynomial hash of the
-// sequence numbers), so the differential also pins the fold order.
-func mrecCombine(dst, src []byte) {
-	h := binary.LittleEndian.Uint16(dst[6:])*31 + binary.LittleEndian.Uint16(src[6:])
-	binary.LittleEndian.PutUint16(dst[6:], h)
-}
-
 // mergeInputs builds fanIn sorted runs from the keys that keyOf yields;
 // lenOf gives each run's length (0 for an empty source).
 func mergeInputs(fanIn int, lenOf func(s int) int, keyOf func() uint32) [][]byte {
@@ -169,19 +141,19 @@ func mergeInputs(fanIn int, lenOf func(s int) int, keyOf func() uint32) [][]byte
 func sliceSources(runs [][]byte) []Source {
 	srcs := make([]Source, len(runs))
 	for i, r := range runs {
-		srcs[i] = NewSliceSource(r)
+		srcs[i] = newMemSource(r)
 	}
 	return srcs
 }
 
-// mergeAll drains a merge into one byte stream plus its fold count.
-func mergeAll(t *testing.T, next func() ([]byte, error), combined func() int64) ([]byte, int64) {
+// mergeAll drains a merge into one byte stream.
+func mergeAll(t *testing.T, next func() ([]byte, error)) []byte {
 	t.Helper()
 	var out []byte
 	for {
 		rec, err := next()
 		if err == io.EOF {
-			return out, combined()
+			return out
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -191,10 +163,9 @@ func mergeAll(t *testing.T, next func() ([]byte, error), combined func() int64) 
 }
 
 // TestLoserTreeMatchesHeap: the loser-tree Merger and the heap reference
-// produce byte-identical streams and fold counts at fan-in 1, 2, 5, 16
-// and 17, with empty sources, with keys equal across every source
-// (earlier source wins), in Key and Less modes, with and without
-// Combine.
+// produce byte-identical streams at fan-in 1, 2, 5, 16 and 17, with
+// empty sources, with keys equal across every source (earlier source
+// wins), in Key and Less modes.
 func TestLoserTreeMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	shapes := []struct {
@@ -218,12 +189,10 @@ func TestLoserTreeMatchesHeap(t *testing.T) {
 		cfg  MergeConfig
 	}{
 		{"key", MergeConfig{RecordSize: mrecSz, Key: u32KeyFn}},
-		{"key-combine", MergeConfig{RecordSize: mrecSz, Key: u32KeyFn, Combine: mrecCombine}},
 		// Maps key 0xffffffff to math.MaxUint64, the value a finished
 		// source's cached key holds.
 		{"key-high", MergeConfig{RecordSize: mrecSz, Key: func(rec []byte) uint64 { return u32KeyFn(rec)<<32 | 0xffffffff }}},
 		{"less", MergeConfig{RecordSize: mrecSz, Less: mrecLess}},
-		{"less-combine", MergeConfig{RecordSize: mrecSz, Less: mrecLess, Combine: mrecCombine}},
 	}
 	for _, fanIn := range []int{1, 2, 5, 16, 17} {
 		for _, sh := range shapes {
@@ -234,15 +203,13 @@ func TestLoserTreeMatchesHeap(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantFolded := mergeAll(t, ref.Next, func() int64 { return ref.combined })
+					want := mergeAll(t, ref.Next)
 					m, err := NewMerger(mode.cfg, sliceSources(runs))
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, gotFolded := mergeAll(t, m.Next, m.Combined)
-					if !bytes.Equal(got, want) || gotFolded != wantFolded {
-						t.Fatalf("loser tree: %d bytes, %d folded; heap: %d bytes, %d folded",
-							len(got), gotFolded, len(want), wantFolded)
+					if got := mergeAll(t, m.Next); !bytes.Equal(got, want) {
+						t.Fatalf("loser tree: %d bytes; heap: %d bytes", len(got), len(want))
 					}
 					if _, err := m.Next(); err != io.EOF {
 						t.Fatalf("Next after the end = %v, want io.EOF", err)
@@ -258,7 +225,7 @@ func TestLoserTreeMatchesHeap(t *testing.T) {
 // were dropped from the tree.
 func TestMergerErrorNamesCallerSource(t *testing.T) {
 	m, err := NewMerger(MergeConfig{RecordSize: 4, Key: u32KeyFn}, []Source{
-		sliceOfU32(), sliceOfU32(), NewSliceSource([]byte{1, 0, 0, 0, 9}),
+		sliceOfU32(), sliceOfU32(), newMemSource([]byte{1, 0, 0, 0, 9}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +235,7 @@ func TestMergerErrorNamesCallerSource(t *testing.T) {
 	}
 }
 
-// BenchmarkMerge times a 16-way merge of in-memory sorted runs, plain
-// and with the Combine fold.
+// BenchmarkMerge times a 16-way merge of in-memory sorted runs.
 func BenchmarkMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	runs := mergeInputs(DefaultFanIn, func(int) int { return 4096 }, func() uint32 { return rng.Uint32() % (1 << 14) })
@@ -277,26 +243,19 @@ func BenchmarkMerge(b *testing.B) {
 	for _, r := range runs {
 		total += int64(len(r))
 	}
-	for _, mode := range []struct {
-		name    string
-		combine func(dst, src []byte)
-	}{{"plain", nil}, {"combine", mrecCombine}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.SetBytes(total)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m, err := NewMerger(MergeConfig{RecordSize: mrecSz, Key: u32KeyFn, Combine: mode.combine}, sliceSources(runs))
-				if err != nil {
-					b.Fatal(err)
-				}
-				for {
-					if _, err := m.Next(); err == io.EOF {
-						break
-					} else if err != nil {
-						b.Fatal(err)
-					}
-				}
+	b.SetBytes(total)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := NewMerger(MergeConfig{RecordSize: mrecSz, Key: u32KeyFn}, sliceSources(runs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, err := m.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				b.Fatal(err)
 			}
-		})
+		}
 	}
 }

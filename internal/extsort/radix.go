@@ -57,9 +57,7 @@ func chunkRecords(budget int64, recSz int) int {
 
 // SortRecords stably sorts chunk's fixed-size records in place by their
 // uint64 keys (ascending), using s for its buffers; a nil s allocates
-// fresh ones. Exported for callers that form sorted runs outside Sort's
-// file protocol, like the engine's spill buffers. The chunk may hold at
-// most math.MaxInt32 records.
+// fresh ones. The chunk may hold at most math.MaxInt32 records.
 func SortRecords(chunk []byte, recSz int, key func([]byte) uint64, s *SortScratch) {
 	n := len(chunk) / recSz
 	if n < 2 {

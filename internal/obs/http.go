@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // MetricsHandler serves the registry in the Prometheus text format.
@@ -17,6 +18,12 @@ func (r *Registry) MetricsHandler() http.Handler {
 		}
 	})
 }
+
+// ReadHeaderTimeout bounds how long an HTTP server waits for a client's
+// request headers, so an idle or slow client cannot pin a connection.
+// The metrics server sets no WriteTimeout: /debug/pprof/profile streams
+// for 30 s.
+const ReadHeaderTimeout = 10 * time.Second
 
 // MetricsServer is a live observability endpoint: /metrics (Prometheus
 // text) plus the standard /debug/pprof/ handlers, served while a run is
@@ -40,7 +47,7 @@ func StartMetricsServer(addr string, reg *Registry) (*MetricsServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: metrics listener: %w", err)
 	}
-	s := &MetricsServer{l: l, srv: &http.Server{Handler: mux}}
+	s := &MetricsServer{l: l, srv: &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}}
 	go s.srv.Serve(l) //nolint:errcheck // Serve always returns on Close
 	return s, nil
 }

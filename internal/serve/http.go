@@ -52,9 +52,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes caps a POST /jobs body; a SubmitRequest is a few
+// hundred bytes, so anything near the cap is not a job.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
+	r.Body = http.MaxBytesReader(w, r.Body, maxSubmitBytes)
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errBody{Error: err.Error()})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errBody{Error: "invalid JSON: " + err.Error()})
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,3 +168,35 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 func u32s(v uint32) string { return strconv.FormatUint(uint64(v), 10) }
+
+// TestHTTPSubmitBodyTooLarge: a POST /jobs body past maxSubmitBytes is
+// refused with 413 before any job exists. The body is a valid job plus
+// padding, so without the cap it would be admitted.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	g, _ := buildGraph(t, 97)
+	s := newServer(t, 256<<20, g)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	statsBefore, jobsBefore := s.Stats(), s.Jobs()
+	body := `{"graph":"main","algo":"bfs","budget":8388608,"pad":"` +
+		strings.Repeat("a", maxSubmitBytes) + `"}`
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body = %d (%s), want 413", resp.StatusCode, eb.Error)
+	}
+	if got := s.Stats(); got != statsBefore {
+		t.Errorf("stats changed: %+v -> %+v", statsBefore, got)
+	}
+	if got := s.Jobs(); !reflect.DeepEqual(got, jobsBefore) {
+		t.Errorf("jobs changed: %+v -> %+v", jobsBefore, got)
+	}
+}
